@@ -6,26 +6,16 @@ Each ``jobs/<name>.py`` wraps a function from
 """
 from __future__ import annotations
 
-import os
 import sys
 
 from pyspark.sql import SparkSession
 
+from repro.session import build_session
+
 
 def get_spark(app: str) -> SparkSession:
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    """The local session every job runs in (see :func:`build_session`)."""
+    return build_session(app)
 
 
 def main_for(exp_name: str) -> None:

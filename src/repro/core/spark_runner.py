@@ -4,8 +4,14 @@ Pipeline (all relational stages in Catalyst, per the paper's executor):
 
 1. **Filter** — local predicates prune the stream (Section 7).
 2. **Window** — each event is exploded into its covering window ids.
-3. **Partition** — groupBy(grouping/equivalence attrs + wid): the paper's
-   "non-overlapping sub-streams … processed in parallel independently".
+3. **Partition** — hash-partition on (grouping/equivalence attrs + wid)
+   into ``defaultParallelism`` partitions, then groupBy the same keys: the
+   paper's "non-overlapping sub-streams … processed in parallel
+   independently". The count is explicit because AQE sizes shuffle
+   partitions by bytes and would coalesce this small shuffle into one
+   task, while the stage's cost is Python CPU per group; an explicit
+   count is never coalesced, and the grouped UDF reuses that exchange, so
+   the kernel stage runs one task per core.
 4. **Kernel** — one ``applyInPandas`` call per substream runs the
    granularity-selected Cogra aggregator (or a baseline) as a
    DataFrame -> DataFrame physical operator, emitting the aggregates plus
@@ -52,6 +58,18 @@ def local_filter_expr(cq: CompiledQuery) -> Column | None:
             c = (F.col(q.type_col) != F.lit(lp.etype)) | c
         expr = c if expr is None else (expr & c)
     return expr
+
+
+def to_double(v) -> float | None:
+    """An aggregate as a DataFrame double. Exact ANY counts can exceed the
+    float64 range (2^n trends); they saturate to ``inf`` like the paper's
+    fixed-width arithmetic would."""
+    if v is None:
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
 
 
 def result_schema(df: DataFrame, cq: CompiledQuery) -> T.StructType:
@@ -110,16 +128,7 @@ def run_query(
         )
         row = dict(zip(key_cols, key))
         for s in cq.specs:
-            v = res.aggregates[s.name]
-            if v is None:
-                row[s.name] = None
-            else:
-                # Exact ANY counts can exceed float64 range (2^n trends);
-                # saturate like the paper's fixed-width arithmetic would.
-                try:
-                    row[s.name] = float(v)
-                except OverflowError:
-                    row[s.name] = math.inf
+            row[s.name] = to_double(res.aggregates[s.name])
         row["events"] = res.events_processed
         row["peak_state_bytes"] = res.peak_state_bytes
         row["kernel_seconds"] = res.kernel_seconds
@@ -127,4 +136,9 @@ def run_query(
         row["trends_constructed"] = res.trends_constructed
         return pd.DataFrame([{c: row[c] for c in out_cols}])
 
-    return df.groupBy(*key_cols).applyInPandas(kernel, schema=schema)
+    n = df.sparkSession.sparkContext.defaultParallelism
+    return (
+        df.repartition(n, *key_cols)
+        .groupBy(*key_cols)
+        .applyInPandas(kernel, schema=schema)
+    )

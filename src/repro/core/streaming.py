@@ -26,7 +26,7 @@ from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from repro.core.executor import make_aggregator
 from repro.core.query import Query
-from repro.core.spark_runner import local_filter_expr
+from repro.core.spark_runner import local_filter_expr, to_double
 from repro.core.windows import with_window_ids
 
 
@@ -85,8 +85,7 @@ def run_query_streaming(stream_df: DataFrame, query: Query) -> DataFrame:
         row = dict(zip(key_cols, key))
         res = agg.result()
         for name in spec_names:
-            v = res[name]
-            row[name] = None if v is None else float(v)
+            row[name] = to_double(res[name])
         row["events"] = agg.events_processed
         yield pd.DataFrame([{f.name: row[f.name] for f in out_schema.fields}])
 

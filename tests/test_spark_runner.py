@@ -1,5 +1,7 @@
 """End-to-end batch Spark pipeline (filter -> window -> partition ->
 kernel), cross-checked against local kernels and between approaches."""
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -147,3 +149,81 @@ def test_empty_group_absent_not_crashing(spark):
     out = run_query(spark.createDataFrame(pdf), q).toPandas()
     # Group exists (rows arrive at the kernel) but no relevant events.
     assert out.count_star.tolist() == [0.0]
+
+
+def _sorted_rows(out: pd.DataFrame) -> pd.DataFrame:
+    """Every output column but the timing, in key order."""
+    return (
+        out.drop(columns="kernel_seconds")
+        .sort_values(["grp", "wid"])
+        .reset_index(drop=True)
+    )
+
+
+WINDOWED = Query(
+    pattern="(SEQ(A+, B))+",
+    semantics=Semantics.ANY,
+    aggregates=AGGS,
+    partition_by=("grp",),
+    window=WindowSpec(size=40, slide=20),
+)
+
+
+def test_output_invariant_under_input_partitioning(spark, stream_pdf):
+    one = spark.createDataFrame(stream_pdf).coalesce(1)
+    shuffled = spark.createDataFrame(
+        stream_pdf.sample(frac=1.0, random_state=7)
+    ).repartition(8)
+    assert one.rdd.getNumPartitions() == 1
+    assert shuffled.rdd.getNumPartitions() == 8
+    pd.testing.assert_frame_equal(
+        _sorted_rows(run_query(one, WINDOWED).toPandas()),
+        _sorted_rows(run_query(shuffled, WINDOWED).toPandas()),
+        check_exact=True,
+    )
+
+
+def test_output_invariant_under_shuffle_partitions(spark, stream_pdf):
+    df = spark.createDataFrame(stream_pdf)
+    saved = spark.conf.get("spark.sql.shuffle.partitions")
+    outs = []
+    try:
+        for n in ("4", "64"):
+            spark.conf.set("spark.sql.shuffle.partitions", n)
+            outs.append(_sorted_rows(run_query(df, WINDOWED).toPandas()))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", saved)
+    pd.testing.assert_frame_equal(*outs, check_exact=True)
+
+
+def test_kernel_stage_runs_one_task_per_core(spark, stream_pdf):
+    """The one exchange hashes on (group, wid) into defaultParallelism
+    partitions, and AQE does not coalesce it even though it is small."""
+    sc = spark.sparkContext
+    n = sc.defaultParallelism
+    out = run_query(spark.createDataFrame(stream_pdf), WINDOWED)
+    group = "kernel-stage-tasks"
+    sc.setJobGroup(group, "run_query on a small input")
+    try:
+        out.toPandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+
+    adaptive = out._jdf.queryExecution().executedPlan()
+    assert "isFinalPlan=true" in adaptive.toString()
+    plan = adaptive.executedPlan().toString()  # the final plan only
+    assert "AQEShuffleRead" not in plan, plan
+    exchanges = re.findall(r"Exchange (\w+)\(([^)]*)\)", plan)
+    assert len(exchanges) == 1, plan
+    kind, args = exchanges[0]
+    assert kind == "hashpartitioning"
+    assert re.fullmatch(rf"grp#\d+L?, wid#\d+L?, {n}", args), plan
+
+    tracker = sc.statusTracker()
+    stage_ids = [
+        sid
+        for jid in tracker.getJobIdsForGroup(group)
+        for sid in tracker.getJobInfo(jid).stageIds
+    ]
+    kernel_stage = tracker.getStageInfo(max(stage_ids))
+    assert kernel_stage.numTasks == n

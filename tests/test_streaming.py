@@ -1,6 +1,8 @@
 """Structured Streaming deployment: the streaming result (update mode,
 last update per key) must equal the batch pipeline's result on the same
 data, across micro-batches that split the stream chronologically."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -96,6 +98,32 @@ def test_streaming_equals_batch(spark, tmp_path, semantics, preds):
         got.astype({"wid": "int64"}), exp.astype({"wid": "int64"}),
         check_dtype=False,
     )
+
+
+def test_streaming_count_overflow_saturates_like_batch(spark, tmp_path):
+    """An exact ANY count past the float64 range (A+ over 1,100 A events is
+    2^1100 - 1) saturates to inf in the stream, as it does in batch, instead
+    of failing the micro-batch."""
+    n = 1_100
+    pdf = pd.DataFrame(
+        {
+            "time": np.arange(1, n + 1),
+            "grp": np.zeros(n, dtype="int64"),
+            "etype": np.repeat("A", n),
+            "v": np.zeros(n),
+        }
+    )
+    query = Query(
+        pattern="A+",
+        semantics=Semantics.ANY,
+        aggregates=(Count(),),
+        partition_by=("grp",),
+    )
+    stream_res = _run_streaming(spark, tmp_path, pdf, query, n_chunks=2)
+    batch_res = run_query(spark.createDataFrame(pdf), query).toPandas()
+    assert batch_res.count_star.tolist() == [math.inf]
+    assert stream_res.count_star.tolist() == [math.inf]
+    assert stream_res.events.tolist() == [n]
 
 
 def test_streaming_state_is_coarse(spark, tmp_path):

@@ -1,5 +1,5 @@
 """Workload generators (paper Section 9.1 data sets; DESIGN.md
-substitutions) and the TPC-H-lite generators they sit beside."""
+substitutions) and the selectivity knob of the Figure-9 experiment."""
 import numpy as np
 import pytest
 
